@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race tier1 bench bench-storage bench-e2e bench-shard bench-persist profile qdiff fmt
+.PHONY: all build vet test race tier1 bench profile qdiff fmt
 
 all: tier1
 
@@ -21,45 +21,12 @@ fmt:
 
 tier1: build vet test race
 
-# bench measures the embedded executor (interpreted vs compiled vs
-# vectorized engine) over a 100k-row fact table and refreshes
-# BENCH_pgdb.json. The file is committed as a non-gating before/after
-# artifact; CI also prints the Go benchmark output for the same cases.
+# bench runs every microbenchmark: executor engines and access paths
+# (internal/pgdb), result pipelines and serving (root package), durable
+# storage (internal/persist) and scatter-gather (internal/shard). End-to-end
+# numbers come from the perfbench module (see perfbench/README.md).
 bench:
-	$(GO) run ./cmd/benchfig -bench -out BENCH_pgdb.json
-	$(GO) test ./internal/pgdb/ -run '^$$' -bench PgdbExec -benchtime 2x
-
-# bench-storage is the columnar-storage acceptance view of the same
-# measurement: it refreshes BENCH_pgdb.json and prints the per-op speedup of
-# the vectorized engine over the compiled row engine.
-bench-storage:
-	$(GO) run ./cmd/benchfig -bench -out BENCH_pgdb.json
-
-# bench-e2e measures the result pipeline (columnar builders vs text
-# round-trip) end to end — typed conversion, PG v3 wire decode, and a full
-# QIPC serve loop — and refreshes BENCH_e2e.json, the committed non-gating
-# before/after artifact. The go test line prints the same cases as standard
-# benchmark output.
-bench-e2e:
-	$(GO) run ./cmd/benchfig -bench-e2e -out BENCH_e2e.json
-	$(GO) test -run '^$$' -bench 'ResultPipeline|ServeTrade' -benchtime 2x .
-
-# bench-shard measures scatter-gather scaling: the same queries against a
-# single backend and 1/2/4/8-shard embedded clusters, each member's
-# per-statement Delay proportional to its data share (modeled remote scan +
-# shipping). Refreshes BENCH_shard.json, committed as a non-gating artifact.
-bench-shard:
-	$(GO) run ./cmd/benchfig -bench-shard -out BENCH_shard.json
-
-# bench-persist measures the durable-storage layer over a 1M-row
-# date-partitioned table: WAL append throughput per sync mode, the cold-open
-# pruned scan against the fully resident baseline (zone maps from the
-# manifest prune to one partition before any column data is read), the
-# unpruned cold scan for contrast, catalog-open latency, and the
-# evict/reload steady state. Refreshes BENCH_persist.json, committed as a
-# non-gating artifact.
-bench-persist:
-	$(GO) run ./cmd/benchfig -bench-persist -bench-rows 1000000 -out BENCH_persist.json
+	$(GO) test -run '^$$' -bench . ./...
 
 # profile captures CPU and allocation profiles of the result-pipeline
 # benchmarks and prints the hottest frames; inspect interactively with
@@ -70,16 +37,24 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 cpu.prof
 	$(GO) tool pprof -top -nodecount 15 -alloc_objects mem.prof
 
-# qdiff replays the differential fuzzer at the CI seeds against the compiled
-# engine, plus one interpreted-engine run to pin the retained AST walker,
-# a vectorized sweep pinning the columnar batch executor, and a 3-shard
-# cluster sweep pinning the scatter-gather backend.
+# qdiff replays the differential fuzzer at the CI seeds, 31 runs in all:
+# the compiled engine, one interpreted-engine run pinning the retained AST
+# walker, the vectorized batch executor, the text result path, a 3-shard
+# cluster against a single backend, disk-backed cold reopen (raw, and
+# compressed + mmap at a tight memory budget), and secondary indexes under
+# the compiled and vectorized engines and after a cold reopen. CI runs this
+# target, so it is the one list of sweeps.
+QDIFF = $(GO) run ./cmd/qdiff -n 10000
+QDIFF_SEEDS = 1 2 7 42
+
 qdiff:
-	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -shrink > /dev/null
-	$(GO) run ./cmd/qdiff -seed 2 -n 10000 -shrink > /dev/null
-	$(GO) run ./cmd/qdiff -seed 7 -n 10000 -shrink > /dev/null
-	$(GO) run ./cmd/qdiff -seed 42 -n 10000 -shrink > /dev/null
-	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -exec interpreted > /dev/null
-	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -exec vectorized -shrink > /dev/null; done
-	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shards 3 -shrink > /dev/null; done
-	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -shrink > /dev/null; done
+	for s in $(QDIFF_SEEDS); do $(QDIFF) -seed $$s -shrink > /dev/null || exit 1; done
+	$(QDIFF) -seed 1 -exec interpreted > /dev/null
+	for s in $(QDIFF_SEEDS); do $(QDIFF) -seed $$s -exec vectorized -shrink > /dev/null || exit 1; done
+	$(QDIFF) -seed 1 -result-path text > /dev/null
+	for s in $(QDIFF_SEEDS); do $(QDIFF) -seed $$s -shards 3 -shrink > /dev/null || exit 1; done
+	for s in $(QDIFF_SEEDS); do $(QDIFF) -seed $$s -persist -shrink > /dev/null || exit 1; done
+	for s in $(QDIFF_SEEDS); do $(QDIFF) -seed $$s -persist -persist-compress -persist-mmap -persist-mem-budget 65536 -shrink > /dev/null || exit 1; done
+	for s in $(QDIFF_SEEDS); do $(QDIFF) -seed $$s -index -shrink > /dev/null || exit 1; done
+	for s in $(QDIFF_SEEDS); do $(QDIFF) -seed $$s -index -exec vectorized -shrink > /dev/null || exit 1; done
+	$(QDIFF) -seed 1 -index -persist -shrink > /dev/null

@@ -14,6 +14,7 @@ package hyperq_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -386,21 +387,64 @@ func BenchmarkTranslationCache(b *testing.B) {
 	}
 }
 
+// e2eRows is the result size of the result-pipeline benchmarks.
+const e2eRows = 100_000
+
+// e2eSelectAll is the select-all the result-pipeline benchmarks convert.
+const e2eSelectAll = "SELECT sym, price, size, venue FROM bench_trades"
+
+// newBenchTradesDB loads a bench_trades fact table of n rows generated by a
+// fixed LCG, so every run converts identical data; about 1 price in 97 is
+// NULL.
+func newBenchTradesDB(b *testing.B, n int) *pgdb.DB {
+	b.Helper()
+	db := pgdb.NewDB()
+	if _, err := db.NewSession().Exec("CREATE TABLE bench_trades (sym varchar, price double precision, size bigint, venue bigint)"); err != nil {
+		b.Fatal(err)
+	}
+	syms := []string{"GOOG", "IBM", "MSFT", "AAPL", "ORCL", "SAP", "TDC", "HPQ"}
+	seed := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return seed >> 17
+	}
+	rows := make([][]any, n)
+	for i := range rows {
+		sym := syms[next()%uint64(len(syms))]
+		price := 50.0 + float64(next()%100000)/100.0
+		size := int64(next()%1000) + 1
+		venue := int64(next() % 16)
+		if next()%97 == 0 {
+			rows[i] = []any{sym, nil, size, venue}
+		} else {
+			rows[i] = []any{sym, price, size, venue}
+		}
+	}
+	if err := db.InsertRows("bench_trades", rows); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
 // BenchmarkResultPipelineDirect compares the two result pipelines on the
-// typed-result conversion alone: "text" renders every cell to text and
-// re-parses it (ResultToQ over the materialized BackendResult), "columnar"
-// streams the typed pgdb values into pooled column builders (FeedResult).
+// typed-result conversion of a 100k-row select-all: "text" renders every
+// cell to text and re-parses it (ResultToQ over the materialized
+// BackendResult), "columnar" streams the typed pgdb values into pooled
+// column builders (FeedResult).
 func BenchmarkResultPipelineDirect(b *testing.B) {
-	stackFor(b, 5000)
-	res, err := benchStacks[5000].NewSession().Exec("SELECT * FROM trades")
+	res, err := newBenchTradesDB(b, e2eRows).NewSession().Exec(e2eSelectAll)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("text", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ResultToQ(core.ToBackendResult(res)); err != nil {
+			t, err := core.ResultToQ(core.ToBackendResult(res))
+			if err != nil {
 				b.Fatal(err)
+			}
+			if t.Len() != e2eRows {
+				b.Fatal("short result")
 			}
 		}
 	})
@@ -411,7 +455,7 @@ func BenchmarkResultPipelineDirect(b *testing.B) {
 			if err := core.FeedResult(ctx, res, sink); err != nil {
 				b.Fatal(err)
 			}
-			if sink.Table().Len() != len(res.Rows) {
+			if sink.Table().Len() != e2eRows {
 				b.Fatal("short result")
 			}
 			sink.Release()
@@ -420,95 +464,233 @@ func BenchmarkResultPipelineDirect(b *testing.B) {
 }
 
 // BenchmarkResultPipelinePgv3 compares the result pipelines over the PG v3
-// wire: "text" collects DataRows into a materialized result and re-parses it,
-// "columnar" decodes each DataRow straight into the pooled builders
-// (QueryStream behind Gateway.ExecStream).
+// wire on a 100k-row select-all: "text" collects DataRows into a
+// materialized result and re-parses it, "columnar" decodes each DataRow
+// straight into the pooled builders (QueryStream behind Gateway.ExecStream).
+// Against the "replay" server, which answers every query with a prebuilt
+// byte stream, only the client pipeline is measured; against "pgdb" the
+// in-process server's execution and encoding are included.
 func BenchmarkResultPipelinePgv3(b *testing.B) {
-	stackFor(b, 5000)
+	db := newBenchTradesDB(b, e2eRows)
+	res, err := db.NewSession().Exec(e2eSelectAll)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, server := range []struct {
+		name  string
+		serve func(l net.Listener)
+	}{
+		{"replay", func(l net.Listener) { serveReplay(l, pgStream(res)) }},
+		{"pgdb", func(l net.Listener) {
+			pgdb.Serve(context.Background(), l, db, pgdb.AuthConfig{Method: pgv3.AuthMethodTrust})
+		}},
+	} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { l.Close() })
+		go server.serve(l)
+		gw, err := gateway.Dial(ctx, l.Addr().String(), "hq", "", "db")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { gw.Close() })
+		b.Run(server.name+"/text", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				br, err := gw.Exec(ctx, e2eSelectAll)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t, err := core.ResultToQ(br)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if t.Len() != e2eRows {
+					b.Fatal("short result")
+				}
+			}
+		})
+		b.Run(server.name+"/columnar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink := core.GetTableSink()
+				if err := gw.ExecStream(ctx, e2eSelectAll, sink); err != nil {
+					b.Fatal(err)
+				}
+				if sink.Table().Len() != e2eRows {
+					b.Fatal("short result")
+				}
+				sink.Release()
+			}
+		})
+	}
+}
+
+// frameMsg builds one typed PG v3 message.
+func frameMsg(typ byte, body []byte) []byte {
+	out := make([]byte, 0, 5+len(body))
+	out = append(out, typ)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(body)+4))
+	return append(out, body...)
+}
+
+// pgStream renders a result as the raw PG v3 byte stream a backend sends for
+// one simple query: RowDescription, DataRows, CommandComplete,
+// ReadyForQuery. Prebuilding it keeps server-side encoding out of the
+// measured client pipeline.
+func pgStream(res *pgdb.Result) []byte {
+	var body []byte
+	body = binary.BigEndian.AppendUint16(body, uint16(len(res.Cols)))
+	for _, c := range res.Cols {
+		body = append(append(body, c.Name...), 0)
+		body = binary.BigEndian.AppendUint32(body, 0) // table oid
+		body = binary.BigEndian.AppendUint16(body, 0) // attnum
+		body = binary.BigEndian.AppendUint32(body, pgv3.OIDForType(c.Type))
+		body = binary.BigEndian.AppendUint16(body, 0) // typlen
+		body = binary.BigEndian.AppendUint32(body, 0) // typmod
+		body = binary.BigEndian.AppendUint16(body, 0) // text format
+	}
+	stream := frameMsg('T', body)
+	for _, row := range res.Rows {
+		body = body[:0]
+		body = binary.BigEndian.AppendUint16(body, uint16(len(row)))
+		for j, v := range row {
+			if v == nil {
+				body = binary.BigEndian.AppendUint32(body, 0xffffffff)
+				continue
+			}
+			text := pgdb.FormatValue(v, res.Cols[j].Type)
+			body = binary.BigEndian.AppendUint32(body, uint32(len(text)))
+			body = append(body, text...)
+		}
+		stream = append(stream, frameMsg('D', body)...)
+	}
+	stream = append(stream, frameMsg('C', append([]byte(res.Tag), 0))...)
+	return append(stream, frameMsg('Z', []byte{'I'})...)
+}
+
+// serveReplay accepts PG v3 connections on l, completes the trust handshake
+// and answers every query by replaying stream verbatim, until l is closed.
+func serveReplay(l net.Listener, stream []byte) {
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			sc := pgv3.NewServerConn(conn)
+			defer sc.Close()
+			if err := sc.Startup(); err != nil {
+				return
+			}
+			if err := sc.Authenticate(pgv3.AuthMethodTrust, nil); err != nil {
+				return
+			}
+			for {
+				if _, err := sc.ReadQuery(); err != nil {
+					return
+				}
+				if _, err := conn.Write(stream); err != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// BenchmarkServeTrade measures one select-all round trip through the QIPC
+// endpoint and the cross compiler under each result path, on two stacks:
+// "networked" is the full serving runtime (pooled PG v3 gateway to pgdb over
+// TCP, 5,000 trades) and "embedded" a session on an in-process backend
+// (20,000 trades).
+func BenchmarkServeTrade(b *testing.B) {
+	const q = "select Symbol, Price, Size from trades"
+	for _, stack := range []struct {
+		name   string
+		trades int
+		start  func(b *testing.B, path core.ResultPath) string
+	}{
+		{"networked", 5000, func(b *testing.B, path core.ResultPath) string {
+			return startServingStack(b, 4, 1024, path)
+		}},
+		{"embedded", 20000, func(b *testing.B, path core.ResultPath) string {
+			return startEmbeddedServing(b, 20000, path)
+		}},
+	} {
+		for _, mode := range []struct {
+			name string
+			path core.ResultPath
+		}{{"columnar", core.ColumnarPath}, {"text", core.TextPath}} {
+			b.Run(stack.name+"/"+mode.name, func(b *testing.B) {
+				addr := stack.start(b, mode.path)
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() { conn.Close() })
+				if err := qipc.ClientHandshake(conn, "bench", ""); err != nil {
+					b.Fatal(err)
+				}
+				roundTrip := func() error {
+					if err := qipc.WriteMessage(conn, qipc.Sync, qval.CharVec(q)); err != nil {
+						return err
+					}
+					msg, err := qipc.ReadMessage(conn)
+					if err != nil {
+						return err
+					}
+					if qe, ok := msg.Value.(*qval.QError); ok {
+						return fmt.Errorf("query error: %s", qe.Msg)
+					}
+					if msg.Value.Len() != stack.trades {
+						return fmt.Errorf("short result: %d rows", msg.Value.Len())
+					}
+					return nil
+				}
+				if err := roundTrip(); err != nil { // warm the session outside the timer
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := roundTrip(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// startEmbeddedServing serves QIPC sessions whose backend is an in-process
+// pgdb holding a trades table of the given size, returning the endpoint
+// address.
+func startEmbeddedServing(b *testing.B, trades int, path core.ResultPath) string {
+	b.Helper()
+	db := pgdb.NewDB()
+	data := taq.Generate(taq.Config{Seed: 1, Trades: trades})
+	if err := core.LoadQTable(context.Background(), core.NewDirectBackend(db), "trades", data.Trades); err != nil {
+		b.Fatal(err)
+	}
+	platform := core.NewPlatform()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { l.Close() })
-	go pgdb.Serve(context.Background(), l, benchStacks[5000], pgdb.AuthConfig{Method: pgv3.AuthMethodTrust})
-	gw, err := gateway.Dial(ctx, l.Addr().String(), "hq", "", "db")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { gw.Close() })
-	const q = "SELECT * FROM trades"
-	b.Run("text", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			br, err := gw.Exec(ctx, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.ResultToQ(br); err != nil {
-				b.Fatal(err)
-			}
-		}
+	go endpoint.Serve(context.Background(), l, endpoint.Config{
+		NewHandler: func(creds *qipc.Credentials) (endpoint.Handler, func(), error) {
+			session := platform.NewSession(core.NewDirectBackend(db), core.Config{ResultPath: path})
+			compiler := xc.New(session)
+			return endpoint.HandlerFunc(func(ctx context.Context, q string) (qval.Value, error) {
+				v, _, err := compiler.HandleQuery(ctx, q)
+				return v, err
+			}), func() { session.Close() }, nil
+		},
 	})
-	b.Run("columnar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink := core.GetTableSink()
-			if err := gw.ExecStream(ctx, q, sink); err != nil {
-				b.Fatal(err)
-			}
-			if sink.Table().Len() == 0 {
-				b.Fatal("empty result")
-			}
-			sink.Release()
-		}
-	})
-}
-
-// BenchmarkServeTrade measures one select-all round trip through the full
-// serving runtime (QIPC endpoint -> compiler -> pooled gateway -> backend)
-// under each result path; cmd/benchfig -bench-e2e records the same shape as
-// the committed BENCH_e2e.json artifact.
-func BenchmarkServeTrade(b *testing.B) {
-	const q = "select Symbol, Price, Size from trades"
-	for _, mode := range []struct {
-		name string
-		path core.ResultPath
-	}{{"columnar", core.ColumnarPath}, {"text", core.TextPath}} {
-		b.Run(mode.name, func(b *testing.B) {
-			addr := startServingStack(b, 4, 1024, mode.path)
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { conn.Close() })
-			if err := qipc.ClientHandshake(conn, "bench", ""); err != nil {
-				b.Fatal(err)
-			}
-			roundTrip := func() error {
-				if err := qipc.WriteMessage(conn, qipc.Sync, qval.CharVec(q)); err != nil {
-					return err
-				}
-				msg, err := qipc.ReadMessage(conn)
-				if err != nil {
-					return err
-				}
-				if qe, ok := msg.Value.(*qval.QError); ok {
-					return fmt.Errorf("query error: %s", qe.Msg)
-				}
-				return nil
-			}
-			if err := roundTrip(); err != nil { // warm the session outside the timer
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := roundTrip(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	return l.Addr().String()
 }
 
 // startServingStack brings up the full networked serving runtime for
